@@ -1,6 +1,7 @@
 #include "graphgen/graph_algos.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace ule {
@@ -44,25 +45,68 @@ bool is_connected(const Graph& g) {
 }
 
 std::uint32_t diameter_exact(const Graph& g) {
-  std::uint32_t best = 0;
-  for (NodeId u = 0; u < g.n(); ++u) best = std::max(best, eccentricity(g, u));
-  return best;
-}
-
-std::pair<std::uint32_t, std::uint32_t> diameter_double_sweep(const Graph& g) {
-  // Sweep 1: farthest node from 0.  Sweep 2: eccentricity of that node is a
-  // lower bound; twice the BFS-tree height from its midpoint-ish node bounds
-  // above.  We settle for lb and 2*lb as the (lb, ub) pair plus one repair
-  // sweep, which is the standard cheap estimate.
-  if (g.n() == 0) return {0, 0};
-  auto d0 = bfs_distances(g, 0);
-  NodeId far = 0;
-  for (NodeId u = 0; u < g.n(); ++u) {
-    if (d0[u] == kUnreachable) throw std::runtime_error("disconnected");
-    if (d0[u] > d0[far]) far = u;
+  const std::size_t n = g.n();
+  if (n == 0) return 0;
+  // A connected graph of max degree <= 2 is a path or a cycle, where
+  // word-parallel BFS shares no work; both have a closed form.
+  if (g.max_degree() <= 2) {
+    if (!is_connected(g)) throw std::runtime_error("graph is disconnected");
+    return static_cast<std::uint32_t>(g.m() == n ? n / 2 : n - 1);
   }
-  const std::uint32_t lb = eccentricity(g, far);
-  return {lb, 2 * lb};
+
+  // Word-parallel multi-source BFS (Then et al., PVLDB 2014): sources
+  // s0..s0+63 each own one bit of a uint64_t per node, so one sweep over a
+  // node's neighbours advances every source that reached it this level.
+  std::vector<std::size_t> off(n + 1, 0);
+  std::vector<NodeId> nbr;
+  nbr.reserve(2 * g.m());
+  for (NodeId u = 0; u < n; ++u) {
+    for (const auto& he : g.ports(u)) nbr.push_back(he.to);
+    off[u + 1] = nbr.size();
+  }
+
+  std::vector<std::uint64_t> seen(n), frontier(n), next(n);
+  std::vector<NodeId> active, reached_now;
+  std::uint32_t best = 0;
+  for (std::size_t s0 = 0; s0 < n; s0 += 64) {
+    const std::size_t width = std::min<std::size_t>(64, n - s0);
+    std::fill(seen.begin(), seen.end(), 0);
+    active.clear();
+    for (std::size_t i = 0; i < width; ++i) {
+      const auto s = static_cast<NodeId>(s0 + i);
+      seen[s] = frontier[s] = std::uint64_t{1} << i;
+      active.push_back(s);
+    }
+    // (source, node) pairs reached so far; width * n iff connected.
+    std::size_t reached = width;
+    std::uint32_t depth = 0;
+    while (!active.empty() && reached < width * n) {
+      reached_now.clear();
+      for (const NodeId u : active) {
+        const std::uint64_t f = frontier[u];
+        for (std::size_t k = off[u]; k < off[u + 1]; ++k) {
+          const NodeId v = nbr[k];
+          const std::uint64_t fresh = f & ~seen[v];
+          if (fresh == 0) continue;
+          if (next[v] == 0) reached_now.push_back(v);
+          next[v] |= fresh;
+        }
+      }
+      for (const NodeId u : active) frontier[u] = 0;
+      for (const NodeId v : reached_now) {
+        frontier[v] = next[v];
+        seen[v] |= next[v];
+        reached += static_cast<std::size_t>(std::popcount(next[v]));
+        next[v] = 0;
+      }
+      if (!reached_now.empty()) ++depth;
+      active.swap(reached_now);
+    }
+    if (reached < width * n) throw std::runtime_error("graph is disconnected");
+    for (const NodeId u : active) frontier[u] = 0;
+    best = std::max(best, depth);
+  }
+  return best;
 }
 
 std::uint32_t hop_distance(const Graph& g, NodeId a, NodeId b) {

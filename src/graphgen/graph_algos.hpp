@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "net/graph.hpp"
@@ -21,12 +20,11 @@ std::uint32_t eccentricity(const Graph& g, NodeId src);
 
 bool is_connected(const Graph& g);
 
-/// Exact diameter via all-pairs BFS; O(n*m), fine for harness sizes.
+/// Exact diameter; throws if the graph is disconnected.  An all-pairs BFS
+/// run 64 sources per machine word: O(n*m) at worst, near O(n*m/64) when
+/// the sources share their BFS trees, and O(n) for paths and cycles (max
+/// degree <= 2), which have a closed form.
 std::uint32_t diameter_exact(const Graph& g);
-
-/// Double-sweep heuristic: returns (lower_bound, upper_bound) on the
-/// diameter using a handful of BFS passes.  For large instances.
-std::pair<std::uint32_t, std::uint32_t> diameter_double_sweep(const Graph& g);
 
 /// Hop distance between two nodes.
 std::uint32_t hop_distance(const Graph& g, NodeId a, NodeId b);

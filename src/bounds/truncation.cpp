@@ -1,23 +1,25 @@
 #include "bounds/truncation.hpp"
 
-#include <memory>
-#include <string>
+#include <algorithm>
 
+#include "election/channels.hpp"
 #include "net/engine.hpp"
 #include "net/message.hpp"
 
 namespace ule {
 
 namespace {
-struct RankMsg final : Message {
-  std::uint64_t value = 0;
-  std::uint32_t size_bits() const override {
-    return wire::kTypeTag + wire::kIdField;
-  }
-  std::string debug_string() const override {
-    return "ball-max(" + std::to_string(value) + ")";
-  }
-};
+constexpr std::uint16_t kRank = 1;
+
+/// One rank announcement: a tag and one id-sized field.
+FlatMsg rank_msg(std::uint64_t value) {
+  FlatMsg m;
+  m.type = kRank;
+  m.channel = channel::kBallMax;
+  m.bits = wire::kTypeTag + wire::kIdField;
+  m.a = value;
+  return m;
+}
 }  // namespace
 
 void BallMaxProcess::on_wake(Context& ctx, std::span<const Envelope> inbox) {
@@ -27,9 +29,7 @@ void BallMaxProcess::on_wake(Context& ctx, std::span<const Envelope> inbox) {
     decide(ctx);
     return;
   }
-  auto m = std::make_shared<RankMsg>();
-  m->value = own_;
-  ctx.broadcast(m);
+  ctx.broadcast(rank_msg(own_));
   on_round(ctx, inbox);
 }
 
@@ -43,17 +43,13 @@ void BallMaxProcess::on_round(Context& ctx, std::span<const Envelope> inbox) {
   if (decided_) return;
   std::uint64_t incoming = 0;
   for (const auto& env : inbox) {
-    if (const auto* rm = dynamic_cast<const RankMsg*>(env.msg.get()))
-      incoming = std::max(incoming, rm->value);
+    if (env.flat.channel == channel::kBallMax && env.flat.type == kRank)
+      incoming = std::max(incoming, env.flat.a);
   }
   if (incoming > best_) {
     best_ = incoming;
     // Still within the horizon: keep flooding improvements.
-    if (ctx.round() < horizon_) {
-      auto m = std::make_shared<RankMsg>();
-      m->value = best_;
-      ctx.broadcast(m);
-    }
+    if (ctx.round() < horizon_) ctx.broadcast(rank_msg(best_));
   }
   if (ctx.round() >= horizon_) {
     decide(ctx);

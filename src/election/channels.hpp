@@ -2,6 +2,9 @@
 // (e.g. Corollary 4.5 runs a size-estimation wave pool and then an election
 // wave pool; Algorithm 1 runs cluster construction, sparsification, and then
 // an election).
+//
+// Channel 255 is reserved by net/ for the reliable layer's pure acks
+// (kArqChannel, net/message.hpp); protocol channels must stay below it.
 
 #pragma once
 
@@ -19,5 +22,6 @@ inline constexpr std::uint8_t kBroadcast = 7;
 inline constexpr std::uint8_t kDfs = 8;
 inline constexpr std::uint8_t kSublinear = 9;
 inline constexpr std::uint8_t kExplicit = 10;  ///< leader-announcement overlay
+inline constexpr std::uint8_t kBallMax = 11;   ///< truncated ball-max (bounds/)
 
 }  // namespace ule::channel

@@ -1,25 +1,19 @@
 #include "net/reliable.hpp"
 
 #include <algorithm>
-#include <string>
+#include <bit>
 #include <utility>
 
 #include "net/metrics.hpp"
 
 namespace ule {
 
-std::string ReliableFrame::debug_string() const {
-  std::string s = seq == 0 ? "rel-ack" : "rel#" + std::to_string(seq);
-  if (epoch != 0) s += "e" + std::to_string(epoch);
-  s += " ack=" + std::to_string(ack);
-  if (ack_epoch != 0) s += "e" + std::to_string(ack_epoch);
-  if (inner_flat.type != 0) {
-    s += " [" + flat_debug_string(inner_flat) + "]";
-  } else if (inner_msg) {
-    s += " [" + inner_msg->debug_string() + "]";
-  }
-  return s;
-}
+namespace {
+
+/// Payload of a pure ack: no inner bits, only the billed header.
+constexpr FlatMsg kPureAck{.type = 1, .channel = kArqChannel};
+
+}  // namespace
 
 // A Context that passes everything through to the engine's context except
 // sends (captured into the per-port ARQ queues) and the scheduling verbs
@@ -40,11 +34,10 @@ class ReliableProcess::CaptureCtx final : public Context {
   Rng& rng() override { return real_.rng(); }
   const Knowledge& knowledge() const override { return real_.knowledge(); }
 
-  void send(PortId port, MessagePtr msg) override {
-    owner_.enqueue_data(port, Payload{FlatMsg{}, std::move(msg)}, real_.round());
-  }
-  void send(PortId port, const FlatMsg& msg) override {
-    owner_.enqueue_data(port, Payload{msg, nullptr}, real_.round());
+  // The inner process's payload becomes a frame; the link header is the
+  // wrapper's own (inner processes never set one — wrappers do not nest).
+  void send(PortId port, const FlatMsg& msg, const LinkHeader&) override {
+    owner_.enqueue_data(port, msg, real_.round());
   }
 
   void set_status(Status s) override { real_.set_status(s); }
@@ -82,15 +75,15 @@ void ReliableProcess::arm_deadline(PortState& ps, Round now) const {
       ps.unacked.empty() ? kRoundForever : now + interval(ps.attempts);
 }
 
-void ReliableProcess::ingest(Context& ctx, std::span<const Envelope> inbox,
-                             std::vector<Envelope>& inner_inbox) {
+void ReliableProcess::ingest(Context& ctx, std::span<const Envelope> inbox) {
   const Round now = ctx.round();
   for (const Envelope& env : inbox) {
-    const auto* frame = dynamic_cast<const ReliableFrame*>(env.msg.get());
-    if (frame == nullptr) {
+    const LinkHeader& frame = env.link;
+    const bool pure_ack = env.flat.channel == kArqChannel;
+    if (frame.seq == 0 && !pure_ack) {
       // Not ARQ traffic (every peer runs the same wrapped factory, so this
       // only happens for wrapper-off runs mixed in by tests): pass through.
-      inner_inbox.push_back(env);
+      inner_inbox_.push_back(env);
       continue;
     }
     PortState& ps = ports_[env.port];
@@ -100,65 +93,66 @@ void ReliableProcess::ingest(Context& ctx, std::span<const Envelope> inbox,
     // Epoch-qualified: an ack for a dead life of our stream (the peer acking
     // frames from before a heal) must never pop the successor stream's
     // frames, so only an ack naming our current epoch counts.
-    if (frame->ack_epoch == ps.epoch && frame->ack > ps.acked) {
-      ps.acked = frame->ack;
-      while (!ps.unacked.empty() && ps.unacked.front().seq <= frame->ack)
-        ps.unacked.pop_front();
+    if (frame.ack_epoch == ps.epoch && frame.ack > ps.acked) {
+      ps.acked = frame.ack;
+      ps.unacked.erase(
+          ps.unacked.begin(),
+          std::find_if(ps.unacked.begin(), ps.unacked.end(),
+                       [&](const Unacked& u) { return u.seq > frame.ack; }));
       ps.attempts = 0;
       arm_deadline(ps, now);
     }
 
-    if (frame->seq == 0) continue;  // pure ack: no data side
+    if (pure_ack) continue;  // no data side
 
     // Epoch gate before any resequencing.  Older epoch = a stale retransmit
     // from a dead life of the peer's stream: discard and count — parking it
     // would let a dead life's seqs corrupt the successor stream's cursor.
     // Newer epoch = the peer healed (or is a reborn node's fresh wrapper):
     // adopt it by resetting the delivery cursor and the parked buffer.
-    if (frame->epoch < ps.rx_epoch) {
+    if (frame.epoch < ps.rx_epoch) {
       ++stale_epoch_drops_;
       continue;
     }
-    if (frame->epoch > ps.rx_epoch) {
-      ps.rx_epoch = frame->epoch;
+    if (frame.epoch > ps.rx_epoch) {
+      ps.rx_epoch = frame.epoch;
       ps.expected = 1;
       ps.parked.clear();
     }
 
-    if (frame->seq < ps.expected) {
+    // The inner payload, with the billed header stripped back off.
+    FlatMsg payload = env.flat;
+    payload.bits -= kReliableHeaderBits;
+    if (frame.seq < ps.expected) {
       // Duplicate of a delivered frame — the peer is retransmitting, so our
       // ack was lost: re-ack (standalone if no data rides this round).
       ++duplicate_drops_;
-      ps.ack_due = true;
-    } else if (frame->seq == ps.expected) {
+    } else if (frame.seq == ps.expected) {
       // In order: deliver, then drain every parked successor.
-      inner_inbox.push_back(
-          Envelope{env.port, frame->inner_flat, frame->inner_msg});
+      inner_inbox_.push_back(Envelope{env.port, payload, {}});
       ++ps.expected;
       for (auto it = ps.parked.find(ps.expected); it != ps.parked.end();
            it = ps.parked.find(ps.expected)) {
-        inner_inbox.push_back(
-            Envelope{env.port, it->second.flat, it->second.msg});
+        inner_inbox_.push_back(Envelope{env.port, it->second, {}});
         ps.parked.erase(it);
         ++ps.expected;
       }
-      ps.ack_due = true;
     } else {
       // Out of order: park until the gap fills (dedup via try_emplace), and
       // re-ack so the sender learns the gap persists.  A re-park of an
       // already-parked seq is a duplicate, not new reordering pressure.
-      if (ps.parked.try_emplace(frame->seq,
-                                Payload{frame->inner_flat, frame->inner_msg})
-              .second)
+      if (ps.parked.try_emplace(frame.seq, payload).second)
         ++parked_frames_;
       else
         ++duplicate_drops_;
-      ps.ack_due = true;
     }
+    ps.ack_due = true;
+    activate(env.port);
   }
 }
 
-void ReliableProcess::enqueue_data(PortId port, Payload payload, Round now) {
+void ReliableProcess::enqueue_data(PortId port, const FlatMsg& payload,
+                                   Round now) {
   PortState& ps = ports_[port];
   if (ps.dead) {
     // Heal: the first fresh send after a give-up re-arms the port as a new
@@ -177,71 +171,79 @@ void ReliableProcess::enqueue_data(PortId port, Payload payload, Round now) {
   if (ps.next_seq == 1)
     ps.epoch = static_cast<std::uint32_t>(now) + 1;
   const std::uint32_t seq = ps.next_seq++;
-  ps.unacked.push_back(Unacked{seq, std::move(payload)});
+  ps.unacked.push_back(Unacked{seq, payload});
   ++ps.fresh;
+  activate(port);
 }
 
 void ReliableProcess::send_frame(Context& ctx, PortId port, std::uint32_t seq,
-                                 const Payload& payload) {
-  auto frame = std::make_shared<ReliableFrame>();
-  frame->seq = seq;
-  frame->epoch = ports_[port].epoch;
-  frame->ack = ports_[port].expected - 1;  // cumulative
-  frame->ack_epoch = ports_[port].rx_epoch;
-  frame->inner_flat = payload.flat;
-  frame->inner_msg = payload.msg;
-  ctx.send(port, MessagePtr(std::move(frame)));
+                                 const FlatMsg& payload) {
+  const PortState& ps = ports_[port];
+  FlatMsg wire = payload;
+  wire.bits += kReliableHeaderBits;
+  // The ack is cumulative: every seq below `expected` has been delivered.
+  ctx.send(port, wire, LinkHeader{seq, ps.epoch, ps.expected - 1, ps.rx_epoch});
 }
 
-void ReliableProcess::flush(Context& ctx) {
+Round ReliableProcess::flush(Context& ctx) {
   const Round now = ctx.round();
-  const std::size_t deg = ports_.size();
-  for (PortId p = 0; p < deg; ++p) {
-    PortState& ps = ports_[p];
-    bool sent_data = false;
+  Round next_deadline = kRoundForever;
+  for (std::size_t w = 0; w < active_.size(); ++w) {
+    for (std::uint64_t bits = active_[w]; bits != 0; bits &= bits - 1) {
+      const auto p = static_cast<PortId>(w * 64 + std::countr_zero(bits));
+      PortState& ps = ports_[p];
+      bool sent_data = false;
 
-    if (!ps.unacked.empty() && now >= ps.rto_deadline) {
-      // Timeout: no ack progress for a full backed-off interval.
-      ++ps.attempts;
-      if (ps.attempts > cfg_.max_retries) {
-        // Link dead (crashed peer or a total partition): drop the queue so
-        // the run can quiesce instead of retransmitting forever.  Not dead
-        // forever — the next fresh inner send heals the port from a fresh
-        // epoch (enqueue_data).
-        ps.dead = true;
-        ++dead_links_;
-        ps.unacked.clear();
+      if (!ps.unacked.empty() && now >= ps.rto_deadline) {
+        // Timeout: no ack progress for a full backed-off interval.
+        ++ps.attempts;
+        if (ps.attempts > cfg_.max_retries) {
+          // Link dead (crashed peer or a total partition): drop the queue so
+          // the run can quiesce instead of retransmitting forever.  Not dead
+          // forever — the next fresh inner send heals the port from a fresh
+          // epoch (enqueue_data).
+          ps.dead = true;
+          ++dead_links_;
+          ps.unacked.clear();
+          ps.fresh = 0;
+          ps.rto_deadline = kRoundForever;
+        } else {
+          // Go-back-all: retransmit every unacked frame (the receiver dedups
+          // and re-acks, so over-sending costs messages, never correctness).
+          for (const Unacked& u : ps.unacked)
+            send_frame(ctx, p, u.seq, u.payload);
+          retransmissions_ += ps.unacked.size();
+          ps.fresh = 0;  // fresh frames went out with the batch
+          sent_data = true;
+          arm_deadline(ps, now);
+        }
+      }
+
+      if (ps.fresh > 0) {
+        // First transmission of the frames the inner enqueued this step.
+        for (std::size_t i = ps.unacked.size() - ps.fresh;
+             i < ps.unacked.size(); ++i)
+          send_frame(ctx, p, ps.unacked[i].seq, ps.unacked[i].payload);
         ps.fresh = 0;
-        ps.rto_deadline = kRoundForever;
-      } else {
-        // Go-back-all: retransmit every unacked frame (the receiver dedups
-        // and re-acks, so over-sending costs messages, never correctness).
-        for (const Unacked& u : ps.unacked) send_frame(ctx, p, u.seq, u.payload);
-        retransmissions_ += ps.unacked.size();
-        ps.fresh = 0;  // fresh frames went out with the batch
         sent_data = true;
         arm_deadline(ps, now);
       }
-    }
 
-    if (ps.fresh > 0) {
-      // First transmission of the frames the inner enqueued this step.
-      const std::size_t start = ps.unacked.size() - ps.fresh;
-      for (std::size_t i = start; i < ps.unacked.size(); ++i)
-        send_frame(ctx, p, ps.unacked[i].seq, ps.unacked[i].payload);
-      ps.fresh = 0;
-      sent_data = true;
-      arm_deadline(ps, now);
-    }
-
-    if (sent_data) {
-      ps.ack_due = false;  // the cumulative ack rode on the data frames
-    } else if (ps.ack_due) {
-      // Ack news but no traffic to piggyback on: one standalone ack frame.
-      send_frame(ctx, p, 0, Payload{});
+      if (!sent_data && ps.ack_due) {
+        // Ack news but no traffic to piggyback on: one standalone ack frame.
+        send_frame(ctx, p, 0, kPureAck);
+      }
+      // Either way the cumulative ack has now gone out.
       ps.ack_due = false;
+
+      if (ps.unacked.empty()) {
+        active_[w] &= ~(std::uint64_t{1} << (p % 64));
+      } else {
+        next_deadline = std::min(next_deadline, ps.rto_deadline);
+      }
     }
   }
+  return next_deadline;
 }
 
 void ReliableProcess::run_step(Context& ctx, std::span<const Envelope> inbox,
@@ -258,11 +260,13 @@ void ReliableProcess::run_step(Context& ctx, std::span<const Envelope> inbox,
     return;
   }
 
-  if (ports_.empty() && ctx.degree() > 0) ports_.resize(ctx.degree());
+  if (ports_.empty() && ctx.degree() > 0) {
+    ports_.resize(ctx.degree());
+    active_.assign((ctx.degree() + 63) / 64, 0);
+  }
 
-  std::vector<Envelope> inner_inbox;
-  inner_inbox.reserve(inbox.size());
-  ingest(ctx, inbox, inner_inbox);
+  inner_inbox_.clear();
+  ingest(ctx, inbox);
 
   // Deliver the round to the inner algorithm only when the engine itself
   // would have: it never slept, it has (reassembled) messages, or its
@@ -270,28 +274,25 @@ void ReliableProcess::run_step(Context& ctx, std::span<const Envelope> inbox,
   // protocols that sleep on a round deadline would see a spurious early
   // round.
   const bool due =
-      wake || inner_wish_ == Wish::Running || !inner_inbox.empty() ||
+      wake || inner_wish_ == Wish::Running || !inner_inbox_.empty() ||
       (inner_wish_ == Wish::Sleep && ctx.round() >= inner_deadline_);
   if (due && inner_wish_ != Wish::Halt) {
     inner_wish_ = Wish::Running;
     CaptureCtx cc(ctx, *this);
     if (wake) {
-      inner_->on_wake(cc, inner_inbox);
+      inner_->on_wake(cc, inner_inbox_);
     } else {
-      inner_->on_round(cc, inner_inbox);
+      inner_->on_round(cc, inner_inbox_);
     }
   }
 
-  flush(ctx);
+  const Round my_wake = flush(ctx);
 
   // Arbitrate scheduling.  The wrapper never halts: even after the inner
   // algorithm is done, peers may retransmit at us and the re-acks that stop
   // them only flow while we can still be woken by an arrival.  Idle costs
   // nothing (no heap entry), so quiescence is reached exactly when every
   // queue has drained or died.
-  Round my_wake = kRoundForever;
-  for (const PortState& ps : ports_)
-    my_wake = std::min(my_wake, ps.rto_deadline);
 
   Round inner_wake = kRoundForever;
   switch (inner_wish_) {

@@ -43,17 +43,21 @@
 // stay bit-for-bit deterministic at every thread count, exactly like the
 // adversary itself.
 //
-// Wire format (legacy Message path — the frame carries an entire inner
-// FlatMsg or MessagePtr plus the ARQ header, which no 32-byte FlatMsg can):
+// Wire format: the inner FlatMsg travels unchanged as the payload and the
+// ARQ header rides inline beside it in the envelope's LinkHeader
+// (net/message.hpp), which the engine copies opaquely through every
+// adversary fault:
 //
-//   ReliableFrame { seq+epoch, ack+ack_epoch, inner payload }
 //     seq        32-bit per-(edge, direction) sequence number; 0 = pure ack
-//     epoch      32-bit epoch of the seq stream (packs into seq's counter
-//                field — kCounter is 64-bit, seq uses the low half)
+//     epoch      32-bit epoch of the seq stream
 //     ack        32-bit cumulative ack: every seq <= ack has been delivered
-//     ack_epoch  32-bit epoch the ack refers to (packs into ack's field)
-//     size_bits = kTypeTag + 2*kCounter (= 72) + inner payload bits
-//     (the epoch tags ride in the existing header budget — no bit drift)
+//     ack_epoch  32-bit epoch the ack refers to
+//
+// A pure ack is a payload-free FlatMsg on the reserved kArqChannel.  The
+// header is billed at kReliableHeaderBits = kTypeTag + 2*kCounter (= 72): the
+// wrapper adds it to `bits` on send and strips it on receipt, so billed bits
+// and the CONGEST check see exactly inner payload + 72 (the epoch tags pack
+// into the seq and ack counter fields — no bit drift).
 //
 // The header rides on top of whatever the inner protocol pays, so reliable
 // registry variants raise their CONGEST budget by kReliableHeaderBits
@@ -67,7 +71,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -106,31 +109,6 @@ struct ReliableConfig {
 };
 
 inline constexpr std::uint32_t kReliableDefaultRto = 4;
-
-/// The ARQ frame.  `seq == 0` is a pure (standalone) ack.
-class ReliableFrame final : public Message {
- public:
-  std::uint32_t seq = 0;
-  std::uint32_t ack = 0;
-  /// Epoch of the seq stream this frame belongs to (0 = the stream never
-  /// opened; data frames always carry the stream's stamped epoch).
-  std::uint32_t epoch = 0;
-  /// Epoch of the peer's stream that `ack` refers to: the sender applies a
-  /// cumulative ack only when this matches its current stream epoch.
-  std::uint32_t ack_epoch = 0;
-  FlatMsg inner_flat;   ///< inner flat payload (type == 0 when absent)
-  MessagePtr inner_msg; ///< inner legacy payload (null when absent)
-
-  std::uint32_t payload_bits() const {
-    if (inner_flat.type != 0) return inner_flat.bits;
-    if (inner_msg) return inner_msg->size_bits();
-    return 0;
-  }
-  std::uint32_t size_bits() const override {
-    return kReliableHeaderBits + payload_bits();
-  }
-  std::string debug_string() const override;
-};
 
 /// Wraps any Process with the reliable link layer.  One instance per node;
 /// per-port sender/receiver state is sized lazily from the node's degree.
@@ -176,13 +154,9 @@ class ReliableProcess final : public Process {
   /// idle inner process stays idle until a message arrives).
   enum class Wish : std::uint8_t { Running, Idle, Sleep, Halt };
 
-  struct Payload {
-    FlatMsg flat;
-    MessagePtr msg;
-  };
   struct Unacked {
     std::uint32_t seq = 0;
-    Payload payload;
+    FlatMsg payload;
   };
   struct PortState {
     // --- sender side -----------------------------------------------------
@@ -192,7 +166,11 @@ class ReliableProcess final : public Process {
     /// first fresh send (round + 1, so a live stream's epoch is never 0),
     /// re-stamped on heal.  Strictly monotone across the port's lives.
     std::uint32_t epoch = 0;
-    std::deque<Unacked> unacked; ///< in seq order; front is the oldest
+    /// In seq order; front is the oldest.  A plain vector, not a deque:
+    /// an idle port allocates nothing (a std::deque allocates ~576 bytes
+    /// even empty, on every port of a K_n), and an ack erases a short
+    /// prefix — a port has only its in-flight frames queued.
+    std::vector<Unacked> unacked;
     std::uint32_t attempts = 0;  ///< retransmissions since last ack progress
     Round rto_deadline = kRoundForever;
     bool dead = false;           ///< gave up; healed by the next fresh send
@@ -203,17 +181,23 @@ class ReliableProcess final : public Process {
     /// newer epoch resets the cursor and the parked buffer; an older one is
     /// a stale retransmit, dropped and counted.
     std::uint32_t rx_epoch = 0;
-    std::map<std::uint32_t, Payload> parked;  ///< out-of-order buffer
+    std::map<std::uint32_t, FlatMsg> parked;  ///< out-of-order buffer
     bool ack_due = false;        ///< ack news with no data to ride on yet
   };
 
   void run_step(Context& ctx, std::span<const Envelope> inbox, bool wake);
-  void ingest(Context& ctx, std::span<const Envelope> inbox,
-              std::vector<Envelope>& inner_inbox);
-  void enqueue_data(PortId port, Payload payload, Round now);
-  void flush(Context& ctx);
+  /// Fills inner_inbox_ with the deliverable payloads of `inbox`.
+  void ingest(Context& ctx, std::span<const Envelope> inbox);
+  void enqueue_data(PortId port, const FlatMsg& payload, Round now);
+  /// Transmit every due frame and ack, visiting only active ports in
+  /// ascending order; returns the earliest retransmit deadline left.
+  Round flush(Context& ctx);
   void send_frame(Context& ctx, PortId port, std::uint32_t seq,
-                  const Payload& payload);
+                  const FlatMsg& payload);
+  /// Mark a port as having unacked frames or ack news (see active_).
+  void activate(PortId port) {
+    active_[port / 64] |= std::uint64_t{1} << (port % 64);
+  }
   /// Backed-off retransmit interval after `attempts` fruitless rounds:
   /// min(rto << attempts, backoff_cap) — a pure function of (attempts, cfg).
   Round interval(std::uint32_t attempts) const;
@@ -222,6 +206,13 @@ class ReliableProcess final : public Process {
   std::unique_ptr<Process> inner_;
   ReliableConfig cfg_;
   std::vector<PortState> ports_;
+  /// One bit per port: set while the port has unacked frames or ack news.
+  /// flush() and the wake computation walk only these bits, in ascending
+  /// port order — the order every send must keep (the adversary's coins are
+  /// keyed by each sender's send index).
+  std::vector<std::uint64_t> active_;
+  /// The inner algorithm's inbox for the current step, reused across steps.
+  std::vector<Envelope> inner_inbox_;
   Wish inner_wish_ = Wish::Running;
   Round inner_deadline_ = 0;
   std::uint64_t retransmissions_ = 0;

@@ -19,11 +19,9 @@
 // verified empirically by the test suite.  Runs in O(k^2) rounds with
 // O(k m) messages, matching [6] as cited by the paper.
 //
-// Wire format: the inline FlatMsg fast path by default — the state
-// announcement bit-packs depth and phase into one payload word and carries
-// the sampled bit in the flag byte.  SpannerConfig::legacy_wire selects the
-// original MessagePtr representation; both produce identical runs (pinned
-// by the wire-equality regression test).
+// Wire format: the state announcement bit-packs depth and phase into one
+// FlatMsg payload word and carries the sampled bit in the flag byte (pinned
+// by the recorded-run regression test).
 
 #pragma once
 
@@ -38,11 +36,6 @@ namespace ule {
 
 struct SpannerConfig {
   std::uint32_t k = 2;  ///< spanner parameter (stretch 2k-1)
-  /// Use the legacy MessagePtr wire format instead of the inline FlatMsg
-  /// fast path.  Both produce bit-for-bit identical runs (same message and
-  /// bit counts, same spanner) — pinned by the wire-equality regression
-  /// test; the flat path just moves zero heap blocks per send.
-  bool legacy_wire = false;
 };
 
 /// The round by which every node knows its final spanner ports.
@@ -84,11 +77,11 @@ class BaswanaSenProcess : public Process {
   void decide(Context& ctx, std::uint32_t phase);
   void add_spanner_port(Context& ctx, PortId p, bool notify);
   Round window_start(std::uint32_t phase) const;
-  /// One arriving cluster-state announcement, either wire representation.
+  /// One arriving cluster-state announcement.
   void handle_state(Context& ctx, PortId port, std::uint64_t center,
                     bool sampled, std::uint32_t depth, std::uint32_t phase);
-  /// Broadcast our (center, sampled, depth) for `phase` on the configured
-  /// wire format, through the paced outbox.
+  /// Broadcast our (center, sampled, depth) for `phase` through the paced
+  /// outbox.
   void queue_state_broadcast(Context& ctx, std::uint32_t phase);
 
   SpannerConfig cfg_;

@@ -28,6 +28,10 @@
 #include "graphgen/generators.hpp"
 #include "graphgen/graph_algos.hpp"
 #include "net/engine.hpp"
+#include "scenario/registry.hpp"
+#include "scenario/runner.hpp"
+#include "scenario/scenario.hpp"
+#include "serve/protocol.hpp"
 #include "spanner/spanner_elect.hpp"
 
 namespace ule {
@@ -273,6 +277,129 @@ TEST(EngineEquivalence, MatrixMatchesSeedEngineGolden) {
     }
   }
   EXPECT_EQ(i, std::size(kGolden)) << "golden table has extra rows";
+}
+
+// --- the reliable fleet ---------------------------------------------------
+//
+// The matrix above runs no *_reliable variant, so the ARQ wire (frame
+// format, ack piggybacking, retransmit order, the adversary coins keyed by
+// each sender's send index) would otherwise be pinned only by the lab's
+// loss axis.  Each row below is one replay token at threads 1 and 2 and the
+// reference run's full result_counters vector (every deterministic RunResult
+// field, the verdict and the per-node outcome digest) plus every arq.*
+// snapshot counter and the number of conformance violations — a t=2 row
+// therefore also pins that the sharded rerun matched the reference.
+//
+// Re-record exactly like the matrix (ULE_RECORD_GOLDEN=1).
+
+struct ReliableGoldenRow {
+  const char* token;
+  const char* counters;  ///< "name=value" pairs, space separated
+};
+
+// flood_max_reliable on K64 fault-free, at drop 200 permille, under
+// delay+dup+reorder and under a churn tail; the other wrapped bases on a
+// sparse random graph under the full mask (delay, drop, dup, reorder and a
+// crash-recovery interval).
+const char* const kReliableTokens[] = {
+    "ule1:complete{n=64}:flood_max_reliable:k=none:w=sim:s=1:t=1",
+    "ule1:complete{n=64}:flood_max_reliable:k=none:w=sim:s=2:t=1:a=0.200.0.0.7",
+    "ule1:complete{n=64}:flood_max_reliable:k=none:w=sim:s=3:t=1:a=2.0.150.300.11",
+    "ule1:complete{n=64}:flood_max_reliable:k=none:w=sim:s=4:t=1:f=5@0-12,9@0-16",
+    "ule1:gnm{n=24,m=40}:kingdom_reliable:k=none:w=sim:s=5:t=1:a=2.150.150.300.13:"
+    "f=3@0-10",
+    "ule1:gnm{n=24,m=40}:dfs_reliable:k=none:w=sim:s=6:t=1:a=2.150.150.300.17:"
+    "f=3@0-10",
+    "ule1:gnm{n=24,m=40}:least_el_all_reliable:k=n:w=sim:s=7:t=1:"
+    "a=2.150.150.300.19:f=3@0-10",
+    "ule1:gnm{n=24,m=40}:explicit_flood_max_reliable:k=none:w=sim:s=8:t=1:"
+    "a=2.150.150.300.23:f=3@0-10",
+};
+
+/// `token` with its thread field set to `threads`.
+std::string at_threads(const std::string& token, unsigned threads) {
+  Scenario s = Scenario::parse(token);
+  s.threads = threads;
+  return s.encode();
+}
+
+std::string reliable_counters(const std::string& token) {
+  ScenarioRunConfig cfg;
+  cfg.metrics.enabled = true;
+  const ScenarioOutcome out = run_scenario(
+      default_protocols(), default_families(), Scenario::parse(token), cfg);
+  std::string line;
+  const auto add = [&line](const std::string& name, std::uint64_t v) {
+    if (!line.empty()) line += ' ';
+    line += name + "=" + std::to_string(v);
+  };
+  for (const auto& [name, v] : serve::result_counters(out.report)) add(name, v);
+  if (!out.report.run.metrics) throw std::logic_error("metrics not recorded");
+  for (const auto& [name, v] : out.report.run.metrics->counters) {
+    if (name.rfind("arq.", 0) == 0) add(name, v);
+  }
+  add("violations", out.violations.size());
+  return line;
+}
+
+// Recorded before the ARQ header moved inline into the envelope.
+const ReliableGoldenRow kReliableGolden[] = {
+    // clang-format off
+    {"ule1:complete{n=64}:flood_max_reliable:k=none:w=sim:s=1:t=1",
+     "rounds=7 executed_rounds=7 node_steps=446 messages=19971 bits=3628800 completed=1 congest_violations=0 elected=1 non_elected=63 undecided=0 last_status_change=5 last_progress=5 crashed=0 recoveries=0 adv_crash_drops=0 adv_drops=0 adv_dups=0 adv_delays=0 dead_links=0 dead_link_drops=0 healed_links=0 unique_leader=1 leader_slot=43 outcome_digest=9867515208947063846 arq.dead_link_drops=0 arq.dead_links=0 arq.duplicate_drops=0 arq.healed_links=0 arq.parked_frames=0 arq.retransmissions=0 arq.stale_epoch_drops=0 violations=0"},
+    {"ule1:complete{n=64}:flood_max_reliable:k=none:w=sim:s=1:t=2",
+     "rounds=7 executed_rounds=7 node_steps=446 messages=19971 bits=3628800 completed=1 congest_violations=0 elected=1 non_elected=63 undecided=0 last_status_change=5 last_progress=5 crashed=0 recoveries=0 adv_crash_drops=0 adv_drops=0 adv_dups=0 adv_delays=0 dead_links=0 dead_link_drops=0 healed_links=0 unique_leader=1 leader_slot=43 outcome_digest=9867515208947063846 arq.dead_link_drops=0 arq.dead_links=0 arq.duplicate_drops=0 arq.healed_links=0 arq.parked_frames=0 arq.retransmissions=0 arq.stale_epoch_drops=0 violations=0"},
+    {"ule1:complete{n=64}:flood_max_reliable:k=none:w=sim:s=2:t=1:a=0.200.0.0.7",
+     "rounds=200 executed_rounds=113 node_steps=2615 messages=36189 bits=6496518 completed=1 congest_violations=6117 elected=1 non_elected=63 undecided=0 last_status_change=131 last_progress=198 crashed=0 recoveries=0 adv_crash_drops=0 adv_drops=7258 adv_dups=0 adv_delays=0 dead_links=0 dead_link_drops=0 healed_links=0 unique_leader=1 leader_slot=42 outcome_digest=2987575133590959861 arq.dead_link_drops=0 arq.dead_links=0 arq.duplicate_drops=4821 arq.healed_links=0 arq.parked_frames=3652 arq.retransmissions=10578 arq.stale_epoch_drops=0 violations=0"},
+    {"ule1:complete{n=64}:flood_max_reliable:k=none:w=sim:s=2:t=2:a=0.200.0.0.7",
+     "rounds=200 executed_rounds=113 node_steps=2615 messages=36189 bits=6496518 completed=1 congest_violations=6117 elected=1 non_elected=63 undecided=0 last_status_change=131 last_progress=198 crashed=0 recoveries=0 adv_crash_drops=0 adv_drops=7258 adv_dups=0 adv_delays=0 dead_links=0 dead_link_drops=0 healed_links=0 unique_leader=1 leader_slot=42 outcome_digest=2987575133590959861 arq.dead_link_drops=0 arq.dead_links=0 arq.duplicate_drops=4821 arq.healed_links=0 arq.parked_frames=3652 arq.retransmissions=10578 arq.stale_epoch_drops=0 violations=0"},
+    {"ule1:complete{n=64}:flood_max_reliable:k=none:w=sim:s=3:t=1:a=2.0.150.300.11",
+     "rounds=18 executed_rounds=18 node_steps=866 messages=28171 bits=4955016 completed=1 congest_violations=0 elected=1 non_elected=63 undecided=0 last_status_change=15 last_progress=15 crashed=0 recoveries=0 adv_crash_drops=0 adv_drops=0 adv_dups=4178 adv_delays=21497 dead_links=0 dead_link_drops=0 healed_links=0 unique_leader=1 leader_slot=61 outcome_digest=9594265459874300795 arq.dead_link_drops=0 arq.dead_links=0 arq.duplicate_drops=3141 arq.healed_links=0 arq.parked_frames=2326 arq.retransmissions=0 arq.stale_epoch_drops=0 violations=0"},
+    {"ule1:complete{n=64}:flood_max_reliable:k=none:w=sim:s=3:t=2:a=2.0.150.300.11",
+     "rounds=18 executed_rounds=18 node_steps=866 messages=28171 bits=4955016 completed=1 congest_violations=0 elected=1 non_elected=63 undecided=0 last_status_change=15 last_progress=15 crashed=0 recoveries=0 adv_crash_drops=0 adv_drops=0 adv_dups=4178 adv_delays=21497 dead_links=0 dead_link_drops=0 healed_links=0 unique_leader=1 leader_slot=61 outcome_digest=9594265459874300795 arq.dead_link_drops=0 arq.dead_links=0 arq.duplicate_drops=3141 arq.healed_links=0 arq.parked_frames=2326 arq.retransmissions=0 arq.stale_epoch_drops=0 violations=0"},
+    {"ule1:complete{n=64}:flood_max_reliable:k=none:w=sim:s=4:t=1:f=5@0-12,9@0-16",
+     "rounds=41 executed_rounds=22 node_steps=1069 messages=20772 bits=3788730 completed=1 congest_violations=492 elected=1 non_elected=63 undecided=0 last_status_change=39 last_progress=39 crashed=2 recoveries=2 adv_crash_drops=617 adv_drops=0 adv_dups=0 adv_delays=0 dead_links=0 dead_link_drops=0 healed_links=0 unique_leader=1 leader_slot=16 outcome_digest=2610220485405333952 arq.dead_link_drops=0 arq.dead_links=0 arq.duplicate_drops=124 arq.healed_links=0 arq.parked_frames=124 arq.retransmissions=803 arq.stale_epoch_drops=0 violations=0"},
+    {"ule1:complete{n=64}:flood_max_reliable:k=none:w=sim:s=4:t=2:f=5@0-12,9@0-16",
+     "rounds=41 executed_rounds=22 node_steps=1069 messages=20772 bits=3788730 completed=1 congest_violations=492 elected=1 non_elected=63 undecided=0 last_status_change=39 last_progress=39 crashed=2 recoveries=2 adv_crash_drops=617 adv_drops=0 adv_dups=0 adv_delays=0 dead_links=0 dead_link_drops=0 healed_links=0 unique_leader=1 leader_slot=16 outcome_digest=2610220485405333952 arq.dead_link_drops=0 arq.dead_links=0 arq.duplicate_drops=124 arq.healed_links=0 arq.parked_frames=124 arq.retransmissions=803 arq.stale_epoch_drops=0 violations=0"},
+    {"ule1:gnm{n=24,m=40}:kingdom_reliable:k=none:w=sim:s=5:t=1:a=2.150.150.300.13:f=3@0-10",
+     "rounds=331 executed_rounds=277 node_steps=1223 messages=1416 bits=309978 completed=1 congest_violations=62 elected=1 non_elected=23 undecided=0 last_status_change=327 last_progress=327 crashed=1 recoveries=1 adv_crash_drops=4 adv_drops=231 adv_dups=187 adv_delays=895 dead_links=0 dead_link_drops=0 healed_links=0 unique_leader=1 leader_slot=7 outcome_digest=13798870016141834240 arq.dead_link_drops=0 arq.dead_links=0 arq.duplicate_drops=208 arq.healed_links=0 arq.parked_frames=41 arq.retransmissions=245 arq.stale_epoch_drops=0 violations=0"},
+    {"ule1:gnm{n=24,m=40}:kingdom_reliable:k=none:w=sim:s=5:t=2:a=2.150.150.300.13:f=3@0-10",
+     "rounds=331 executed_rounds=277 node_steps=1223 messages=1416 bits=309978 completed=1 congest_violations=62 elected=1 non_elected=23 undecided=0 last_status_change=327 last_progress=327 crashed=1 recoveries=1 adv_crash_drops=4 adv_drops=231 adv_dups=187 adv_delays=895 dead_links=0 dead_link_drops=0 healed_links=0 unique_leader=1 leader_slot=7 outcome_digest=13798870016141834240 arq.dead_link_drops=0 arq.dead_links=0 arq.duplicate_drops=208 arq.healed_links=0 arq.parked_frames=41 arq.retransmissions=245 arq.stale_epoch_drops=0 violations=0"},
+    {"ule1:gnm{n=24,m=40}:dfs_reliable:k=none:w=sim:s=6:t=1:a=2.150.150.300.17:f=3@0-10",
+     "rounds=551 executed_rounds=335 node_steps=467 messages=307 bits=33336 completed=1 congest_violations=0 elected=1 non_elected=23 undecided=0 last_status_change=526 last_progress=547 crashed=1 recoveries=1 adv_crash_drops=0 adv_drops=36 adv_dups=44 adv_delays=212 dead_links=0 dead_link_drops=0 healed_links=0 unique_leader=1 leader_slot=3 outcome_digest=17886281589505188347 arq.dead_link_drops=0 arq.dead_links=0 arq.duplicate_drops=33 arq.healed_links=0 arq.parked_frames=0 arq.retransmissions=31 arq.stale_epoch_drops=0 violations=0"},
+    {"ule1:gnm{n=24,m=40}:dfs_reliable:k=none:w=sim:s=6:t=2:a=2.150.150.300.17:f=3@0-10",
+     "rounds=551 executed_rounds=335 node_steps=467 messages=307 bits=33336 completed=1 congest_violations=0 elected=1 non_elected=23 undecided=0 last_status_change=526 last_progress=547 crashed=1 recoveries=1 adv_crash_drops=0 adv_drops=36 adv_dups=44 adv_delays=212 dead_links=0 dead_link_drops=0 healed_links=0 unique_leader=1 leader_slot=3 outcome_digest=17886281589505188347 arq.dead_link_drops=0 arq.dead_links=0 arq.duplicate_drops=33 arq.healed_links=0 arq.parked_frames=0 arq.retransmissions=31 arq.stale_epoch_drops=0 violations=0"},
+    {"ule1:gnm{n=24,m=40}:least_el_all_reliable:k=n:w=sim:s=7:t=1:a=2.150.150.300.19:f=3@0-10",
+     "rounds=270 executed_rounds=88 node_steps=609 messages=911 bits=149910 completed=1 congest_violations=117 elected=1 non_elected=23 undecided=0 last_status_change=83 last_progress=267 crashed=1 recoveries=1 adv_crash_drops=7 adv_drops=138 adv_dups=127 adv_delays=602 dead_links=0 dead_link_drops=0 healed_links=0 unique_leader=1 leader_slot=11 outcome_digest=1144894278960735695 arq.dead_link_drops=0 arq.dead_links=0 arq.duplicate_drops=168 arq.healed_links=0 arq.parked_frames=99 arq.retransmissions=194 arq.stale_epoch_drops=0 violations=0"},
+    {"ule1:gnm{n=24,m=40}:least_el_all_reliable:k=n:w=sim:s=7:t=2:a=2.150.150.300.19:f=3@0-10",
+     "rounds=270 executed_rounds=88 node_steps=609 messages=911 bits=149910 completed=1 congest_violations=117 elected=1 non_elected=23 undecided=0 last_status_change=83 last_progress=267 crashed=1 recoveries=1 adv_crash_drops=7 adv_drops=138 adv_dups=127 adv_delays=602 dead_links=0 dead_link_drops=0 healed_links=0 unique_leader=1 leader_slot=11 outcome_digest=1144894278960735695 arq.dead_link_drops=0 arq.dead_links=0 arq.duplicate_drops=168 arq.healed_links=0 arq.parked_frames=99 arq.retransmissions=194 arq.stale_epoch_drops=0 violations=0"},
+    {"ule1:gnm{n=24,m=40}:explicit_flood_max_reliable:k=none:w=sim:s=8:t=1:a=2.150.150.300.23:f=3@0-10",
+     "rounds=263 executed_rounds=116 node_steps=698 messages=1002 bits=156288 completed=1 congest_violations=105 elected=1 non_elected=23 undecided=0 last_status_change=134 last_progress=261 crashed=1 recoveries=1 adv_crash_drops=5 adv_drops=142 adv_dups=129 adv_delays=622 dead_links=0 dead_link_drops=0 healed_links=0 unique_leader=1 leader_slot=21 outcome_digest=8406902434676797078 arq.dead_link_drops=0 arq.dead_links=0 arq.duplicate_drops=179 arq.healed_links=0 arq.parked_frames=85 arq.retransmissions=192 arq.stale_epoch_drops=0 violations=0"},
+    {"ule1:gnm{n=24,m=40}:explicit_flood_max_reliable:k=none:w=sim:s=8:t=2:a=2.150.150.300.23:f=3@0-10",
+     "rounds=263 executed_rounds=116 node_steps=698 messages=1002 bits=156288 completed=1 congest_violations=105 elected=1 non_elected=23 undecided=0 last_status_change=134 last_progress=261 crashed=1 recoveries=1 adv_crash_drops=5 adv_drops=142 adv_dups=129 adv_delays=622 dead_links=0 dead_link_drops=0 healed_links=0 unique_leader=1 leader_slot=21 outcome_digest=8406902434676797078 arq.dead_link_drops=0 arq.dead_links=0 arq.duplicate_drops=179 arq.healed_links=0 arq.parked_frames=85 arq.retransmissions=192 arq.stale_epoch_drops=0 violations=0"},
+    // clang-format on
+};
+
+TEST(EngineEquivalence, ReliableFleetMatchesGolden) {
+  const bool record = std::getenv("ULE_RECORD_GOLDEN") != nullptr;
+  std::size_t i = 0;
+  for (const char* base : kReliableTokens) {
+    for (const unsigned t : {1u, 2u}) {
+      const std::string token = at_threads(base, t);
+      const std::string got = reliable_counters(token);
+      if (record) {
+        std::printf("    {\"%s\",\n     \"%s\"},\n", token.c_str(),
+                    got.c_str());
+        continue;
+      }
+      ASSERT_LT(i, std::size(kReliableGolden)) << "golden table too short";
+      const ReliableGoldenRow& want = kReliableGolden[i++];
+      ASSERT_EQ(token, want.token) << "golden table out of sync";
+      EXPECT_EQ(got, want.counters) << token;
+    }
+  }
+  if (record) GTEST_SKIP() << "golden rows printed, not compared";
+  EXPECT_EQ(i, std::size(kReliableGolden)) << "golden table has extra rows";
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "net/knowledge.hpp"
@@ -13,14 +14,14 @@
 namespace ule {
 namespace {
 
-struct TagMsg final : Message {
-  int tag = 0;
-  explicit TagMsg(int t) : tag(t) {}
-  std::uint32_t size_bits() const override { return wire::kTypeTag; }
-  std::string debug_string() const override {
-    return "tag(" + std::to_string(tag) + ")";
-  }
-};
+/// A tag-only message carrying `tag` in its first payload word.
+FlatMsg tag_msg(int tag) {
+  FlatMsg m;
+  m.type = 1;
+  m.bits = wire::kTypeTag;
+  m.a = static_cast<std::uint64_t>(tag);
+  return m;
+}
 
 /// Minimal Context: records sends, stubs everything else.
 class RecorderCtx final : public Context {
@@ -36,11 +37,7 @@ class RecorderCtx final : public Context {
   Round round() const override { return 0; }
   Rng& rng() override { return rng_; }
   const Knowledge& knowledge() const override { return knowledge_; }
-  void send(PortId port, MessagePtr msg) override {
-    const auto* tm = dynamic_cast<const TagMsg*>(msg.get());
-    sent.emplace_back(port, tm ? tm->tag : -1);
-  }
-  void send(PortId port, const FlatMsg& msg) override {
+  void send(PortId port, const FlatMsg& msg, const LinkHeader&) override {
     sent.emplace_back(port, static_cast<int>(msg.a));
   }
   void set_status(Status) override {}
@@ -66,9 +63,9 @@ TEST(PortOutbox, EmptyFlushSendsNothing) {
 TEST(PortOutbox, OneMessagePerPortPerFlush) {
   PortOutbox ob;
   RecorderCtx ctx(2);
-  ob.queue(0, std::make_shared<TagMsg>(1));
-  ob.queue(0, std::make_shared<TagMsg>(2));
-  ob.queue(1, std::make_shared<TagMsg>(3));
+  ob.queue(0, tag_msg(1));
+  ob.queue(0, tag_msg(2));
+  ob.queue(1, tag_msg(3));
 
   EXPECT_EQ(ob.backlog(), 3u);
   EXPECT_TRUE(ob.flush(ctx));  // one left on port 0
@@ -85,7 +82,7 @@ TEST(PortOutbox, OneMessagePerPortPerFlush) {
 TEST(PortOutbox, FifoPerPortAcrossManyFlushes) {
   PortOutbox ob;
   RecorderCtx ctx(1);
-  for (int i = 0; i < 10; ++i) ob.queue(0, std::make_shared<TagMsg>(i));
+  for (int i = 0; i < 10; ++i) ob.queue(0, tag_msg(i));
   int flushes = 0;
   while (ob.flush(ctx)) ++flushes;
   EXPECT_EQ(flushes, 9);  // 10th flush returns false (queue emptied)
@@ -96,7 +93,7 @@ TEST(PortOutbox, FifoPerPortAcrossManyFlushes) {
 TEST(PortOutbox, QueueBroadcastHitsEveryPort) {
   PortOutbox ob;
   RecorderCtx ctx(4);
-  ob.queue_broadcast(ctx, std::make_shared<TagMsg>(9));
+  ob.queue_broadcast(ctx, tag_msg(9));
   EXPECT_EQ(ob.backlog(), 4u);
   EXPECT_FALSE(ob.flush(ctx));
   ASSERT_EQ(ctx.sent.size(), 4u);
@@ -109,10 +106,10 @@ TEST(PortOutbox, QueueBroadcastHitsEveryPort) {
 TEST(PortOutbox, InterleavesPortsIndependently) {
   PortOutbox ob;
   RecorderCtx ctx(2);
-  ob.queue(1, std::make_shared<TagMsg>(10));
-  ob.queue(1, std::make_shared<TagMsg>(11));
+  ob.queue(1, tag_msg(10));
+  ob.queue(1, tag_msg(11));
   EXPECT_TRUE(ob.flush(ctx));  // port1: 10
-  ob.queue(0, std::make_shared<TagMsg>(20));
+  ob.queue(0, tag_msg(20));
   EXPECT_FALSE(ob.flush(ctx));  // port0: 20, port1: 11 — both drained
   ASSERT_EQ(ctx.sent.size(), 3u);
   EXPECT_EQ(ctx.sent[0], (std::pair<PortId, int>{1, 10}));
@@ -124,9 +121,9 @@ TEST(PortOutbox, BacklogCountsExactly) {
   PortOutbox ob;
   RecorderCtx ctx(3);
   EXPECT_EQ(ob.backlog(), 0u);
-  ob.queue(2, std::make_shared<TagMsg>(1));
-  ob.queue(2, std::make_shared<TagMsg>(2));
-  ob.queue(0, std::make_shared<TagMsg>(3));
+  ob.queue(2, tag_msg(1));
+  ob.queue(2, tag_msg(2));
+  ob.queue(0, tag_msg(3));
   EXPECT_EQ(ob.backlog(), 3u);
   ob.flush(ctx);
   EXPECT_EQ(ob.backlog(), 1u);

@@ -110,23 +110,36 @@ TEST(Reliable, DisabledWrapperIsBitForBitPassThrough) {
   EXPECT_EQ(inner_courier(*run.eng, 1)->got.size(), 4u);
 }
 
+/// 0, 1, ..., k-1: the payloads a Courier sends, in order.
+std::vector<std::uint64_t> iota(int k) {
+  std::vector<std::uint64_t> v(static_cast<std::size_t>(k));
+  for (int i = 0; i < k; ++i) v[static_cast<std::size_t>(i)] = i;
+  return v;
+}
+
 TEST(Reliable, FaultFreeDeliveryIsExactlyOnceFifoWithHeaderBilling) {
-  EngineConfig cfg;
-  cfg.seed = 9;
-  ReliableConfig rcfg;
-  rcfg.rto = 4;
-  const CourierRun run = run_courier(cfg, 5, rcfg);
-  const RunResult& res = run.eng->result();
-  EXPECT_TRUE(res.completed);
-  const Courier* rx = inner_courier(*run.eng, 1);
-  ASSERT_NE(rx, nullptr);
-  EXPECT_EQ(rx->got, (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
-  // Every data frame pays the ARQ header on top of the 64-bit payload; the
-  // total also covers whatever standalone acks the idle tail needed.
-  EXPECT_GE(res.bits, 5 * (64u + kReliableHeaderBits));
-  const auto* tx = dynamic_cast<const ReliableProcess*>(run.eng->process(0));
-  ASSERT_NE(tx, nullptr);
-  EXPECT_EQ(tx->retransmissions(), 0u);  // nothing lost, nothing re-sent
+  // 300 frames: one send per step keeps the unacked queue non-empty for the
+  // whole stream, so every ack trims it from the front.
+  for (const int k : {5, 300}) {
+    EngineConfig cfg;
+    cfg.seed = 9;
+    ReliableConfig rcfg;
+    rcfg.rto = 4;
+    const CourierRun run = run_courier(cfg, k, rcfg);
+    const RunResult& res = run.eng->result();
+    EXPECT_TRUE(res.completed);
+    const Courier* rx = inner_courier(*run.eng, 1);
+    ASSERT_NE(rx, nullptr);
+    EXPECT_EQ(rx->got, iota(k));
+    // Every data frame pays the ARQ header on top of the 64-bit payload,
+    // and every message (data or standalone ack) pays it exactly once.
+    EXPECT_GE(res.bits, k * (64u + kReliableHeaderBits));
+    EXPECT_EQ(res.bits, k * 64u + res.messages * kReliableHeaderBits);
+    const auto* tx =
+        dynamic_cast<const ReliableProcess*>(run.eng->process(0));
+    ASSERT_NE(tx, nullptr);
+    EXPECT_EQ(tx->retransmissions(), 0u);  // nothing lost, nothing re-sent
+  }
 }
 
 TEST(Reliable, ExactlyOnceFifoUnderDropDupReorder) {
@@ -142,27 +155,28 @@ TEST(Reliable, ExactlyOnceFifoUnderDropDupReorder) {
   ReliableConfig rcfg;
   rcfg.rto = 3;
   rcfg.backoff_cap = 12;
-  const CourierRun run = run_courier(cfg, 8, rcfg);
-  const RunResult& res = run.eng->result();
-  EXPECT_TRUE(res.completed);
-  const Courier* rx = inner_courier(*run.eng, 1);
-  ASSERT_NE(rx, nullptr);
-  EXPECT_EQ(rx->got,
-            (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
-  // The adversary really bit: recovery work is visible in the counters.
-  // Duplicates eaten and frames parked for reordering are separate stories
-  // (a park is NOT a drop — it is delivered later), so they are counted
-  // separately; under this mixed fault mask both kinds of work happen.
-  const auto* tx = dynamic_cast<const ReliableProcess*>(run.eng->process(0));
-  const auto* rxw = dynamic_cast<const ReliableProcess*>(run.eng->process(1));
-  ASSERT_NE(tx, nullptr);
-  ASSERT_NE(rxw, nullptr);
-  EXPECT_GT(tx->retransmissions(), 0u);
-  EXPECT_GT(rxw->duplicate_drops(), 0u);
-  EXPECT_GT(rxw->parked_frames(), 0u);
-  // Nothing died: parks and dups are recoverable faults.
-  EXPECT_EQ(tx->dead_links(), 0u);
-  EXPECT_EQ(rxw->dead_links(), 0u);
+  for (const int k : {8, 300}) {
+    const CourierRun run = run_courier(cfg, k, rcfg);
+    const RunResult& res = run.eng->result();
+    EXPECT_TRUE(res.completed);
+    const Courier* rx = inner_courier(*run.eng, 1);
+    ASSERT_NE(rx, nullptr);
+    EXPECT_EQ(rx->got, iota(k));
+    // The adversary really bit: recovery work is visible in the counters.
+    // Duplicates eaten and frames parked for reordering are separate stories
+    // (a park is NOT a drop — it is delivered later), so they are counted
+    // separately; under this mixed fault mask both kinds of work happen.
+    const auto* tx = dynamic_cast<const ReliableProcess*>(run.eng->process(0));
+    const auto* rxw = dynamic_cast<const ReliableProcess*>(run.eng->process(1));
+    ASSERT_NE(tx, nullptr);
+    ASSERT_NE(rxw, nullptr);
+    EXPECT_GT(tx->retransmissions(), 0u);
+    EXPECT_GT(rxw->duplicate_drops(), 0u);
+    EXPECT_GT(rxw->parked_frames(), 0u);
+    // Nothing died: parks and dups are recoverable faults.
+    EXPECT_EQ(tx->dead_links(), 0u);
+    EXPECT_EQ(rxw->dead_links(), 0u);
+  }
 }
 
 TEST(Reliable, DuplicationAloneCountsDuplicatesNotParks) {

@@ -17,11 +17,12 @@
 namespace ule {
 namespace {
 
-struct PingMsg final : Message {
-  std::uint32_t size_bits() const override { return 64; }
-};
-
-MessagePtr ping() { return std::make_shared<PingMsg>(); }
+FlatMsg ping() {
+  FlatMsg m;
+  m.type = 1;
+  m.bits = 64;
+  return m;
+}
 
 /// Records every round it runs; configurable action per run.
 class ProbeProcess : public Process {
@@ -191,9 +192,10 @@ TEST(Scheduler, RunningNodesAreScheduledEveryRound) {
   for (Round r = 0; r < 10; ++r) EXPECT_EQ(p->ran_at[r], r);
 }
 
-TEST(Scheduler, MixedFlatAndLegacyMessagesShareOneInbox) {
-  // A flat message and a legacy message sent to the same node in the same
-  // round arrive in one inbox, in send order, each on the right path.
+TEST(Scheduler, PlainAndLinkHeaderedMessagesShareOneInbox) {
+  // A plain message and one carrying a link header, sent to the same node in
+  // the same round, arrive in one inbox in send order — the header intact
+  // on the second and absent on the first.
   class Dual final : public ProbeProcess {
    public:
     void act(Context& ctx, std::span<const Envelope>) override {
@@ -204,25 +206,25 @@ TEST(Scheduler, MixedFlatAndLegacyMessagesShareOneInbox) {
         f.bits = 64;
         f.a = 1234;
         ctx.send(0, f);
-        ctx.send(0, ping());
+        ctx.send(0, ping(), LinkHeader{3, 2, 1, 5});
       }
       ctx.idle();
     }
     void on_round(Context& ctx, std::span<const Envelope> inbox) override {
       for (const auto& env : inbox) {
-        if (env.is_flat()) {
-          saw_flat = (env.flat.a == 1234 && env.flat.channel == 42);
-          EXPECT_EQ(env.msg, nullptr);
+        if (env.link.empty()) {
+          saw_plain = (env.flat.a == 1234 && env.flat.channel == 42);
         } else {
-          saw_legacy = dynamic_cast<const PingMsg*>(env.msg.get()) != nullptr;
-          EXPECT_FALSE(env.is_flat());
+          saw_link = env.link.seq == 3 && env.link.epoch == 2 &&
+                     env.link.ack == 1 && env.link.ack_epoch == 5 &&
+                     env.flat.type == 1;
         }
-        order.push_back(env.is_flat() ? 'f' : 'l');
+        order.push_back(env.link.empty() ? 'p' : 'l');
       }
       ctx.idle();
     }
-    bool saw_flat = false;
-    bool saw_legacy = false;
+    bool saw_plain = false;
+    bool saw_link = false;
     std::vector<char> order;
   };
   const Graph g = Graph::from_edges(2, {{0, 1}});
@@ -236,10 +238,10 @@ TEST(Scheduler, MixedFlatAndLegacyMessagesShareOneInbox) {
   EXPECT_EQ(res.bits, 128u);
   EXPECT_EQ(res.congest_violations, 1u);
   const auto* p = dynamic_cast<const Dual*>(eng.process(1));
-  EXPECT_TRUE(p->saw_flat);
-  EXPECT_TRUE(p->saw_legacy);
+  EXPECT_TRUE(p->saw_plain);
+  EXPECT_TRUE(p->saw_link);
   ASSERT_EQ(p->order.size(), 2u);
-  EXPECT_EQ(p->order[0], 'f');  // send order preserved
+  EXPECT_EQ(p->order[0], 'p');  // send order preserved
   EXPECT_EQ(p->order[1], 'l');
 }
 

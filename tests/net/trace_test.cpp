@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "election/flood_max.hpp"
 #include "graphgen/generators.hpp"
 #include "net/engine.hpp"
+#include "net/reliable.hpp"
 
 namespace ule {
 namespace {
@@ -100,6 +103,58 @@ TEST(Trace, FormatRespectsLineBudget) {
   const std::string text = format_trace(eng, 10);
   EXPECT_NE(text.find("truncated at 10 lines"), std::string::npos);
   EXPECT_LE(std::count(text.begin(), text.end(), '\n'), 10 + 4);
+}
+
+TEST(Trace, ReliableFramesRenderTheirLinkHeader) {
+  // Behind the ARQ wrapper every send carries a link header: data frames
+  // render as `rel#SEQeEPOCH ack=ACK[eEPOCH] [payload]`, standalone acks as
+  // `rel-ack ...` with no payload.  On a 3-path every node wakes at round
+  // 0, so every stream opens at epoch 1.
+  const Graph g = make_path(3);
+  EngineConfig cfg;
+  cfg.seed = 2;
+  cfg.trace_limit = 10'000;
+  SyncEngine eng(g, cfg);
+  Rng id_rng(8);
+  eng.set_uids(assign_ids(g.n(), IdScheme::Sequential, id_rng));
+  eng.init_processes(make_reliable(make_flood_max()));
+  eng.run();
+
+  std::vector<std::string> details;
+  for (const TraceEvent& ev : eng.trace()) {
+    if (ev.kind == TraceEvent::Kind::Send) details.push_back(ev.detail);
+  }
+  ASSERT_FALSE(details.empty());
+  // The very first send is a fresh stream's first data frame: nothing
+  // received yet, so it acks nothing.
+  EXPECT_EQ(details.front().rfind("rel#1e1 ack=0 [flat(ch2,", 0), 0u)
+      << details.front();
+  EXPECT_EQ(details.front().back(), ']') << details.front();
+  std::size_t data = 0;
+  std::size_t acks = 0;
+  for (const std::string& d : details) {
+    if (d.rfind("rel#", 0) == 0) {
+      ++data;
+      EXPECT_NE(d.find(" [flat(ch2,"), std::string::npos) << d;
+    } else {
+      ASSERT_EQ(d.rfind("rel-ack", 0), 0u) << d;
+      ++acks;
+      EXPECT_EQ(d.find('['), std::string::npos) << d;  // no payload
+      EXPECT_NE(d.find(" ack="), std::string::npos) << d;
+      EXPECT_NE(d.find("e1 ack="), std::string::npos) << d;  // epoch 1
+    }
+  }
+  EXPECT_GT(data, 0u);
+  EXPECT_GT(acks, 0u);
+  EXPECT_EQ(data + acks, eng.result().messages);
+  // The renderer itself: no header = the plain rendering.
+  const FlatMsg payload{.type = 1, .channel = 2, .bits = 8, .a = 7};
+  EXPECT_EQ(flat_debug_string(payload), "flat(ch2,t1,7)");
+  EXPECT_EQ(flat_debug_string(payload, LinkHeader{3, 2, 1, 5}),
+            "rel#3e2 ack=1e5 [flat(ch2,t1,7)]");
+  const FlatMsg ack{.type = 1, .channel = kArqChannel, .bits = 72};
+  EXPECT_EQ(flat_debug_string(ack, LinkHeader{0, 2, 4, 5}),
+            "rel-acke2 ack=4e5");
 }
 
 }  // namespace

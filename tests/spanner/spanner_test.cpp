@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "election/least_el.hpp"
 #include "graphgen/generators.hpp"
@@ -116,38 +117,56 @@ TEST(Spanner, KOneKeepsEverything) {
   EXPECT_EQ(edges, g.m());  // a 1-spanner is the graph itself
 }
 
-TEST(Spanner, FlatAndLegacyWireProduceIdenticalRuns) {
-  // The FlatMsg port (depth/phase bit-packed into one payload word, sampled
-  // bit in the flag byte) must be a pure representation change: every
-  // RunResult counter and the selected spanner must match the MessagePtr
-  // path bit-for-bit.
+TEST(Spanner, WireMatchesRecordedRun) {
+  // Pins the spanner's wire: every RunResult counter and the selected
+  // spanner (each node's ports, in selection order, folded into an FNV-1a
+  // digest) as recorded when the protocol still had a second, pointer-based
+  // wire format that produced identical runs.  A change to the FlatMsg
+  // packing (depth/phase in one payload word, sampled bit in the flag byte)
+  // or to the accounted sizes moves these numbers.
+  struct Want {
+    std::uint32_t k;
+    Round rounds, executed_rounds;
+    std::uint64_t node_steps, messages, bits, congest_violations;
+    std::size_t ports;
+    std::uint64_t ports_digest;
+  };
+  const Want kWant[] = {
+      {2, 9, 9, 630, 1880, 196672, 0, 740, 12769394828860839554ULL},
+      {3, 14, 14, 980, 2738, 333181, 0, 554, 9397322459743821477ULL},
+  };
   Rng rng(9);
   const Graph g = make_random_connected(70, 420, rng);
-  for (const std::uint32_t k : {2u, 3u}) {
-    RunResult results[2];
-    std::vector<std::vector<PortId>> ports[2];
-    for (const bool legacy : {false, true}) {
-      EngineConfig cfg;
-      cfg.seed = 21 + k;
-      SyncEngine eng(g, cfg);
-      Rng id_rng(5);
-      eng.set_uids(assign_ids(g.n(), IdScheme::RandomFromZ, id_rng));
-      eng.set_knowledge(Knowledge::of_n(g.n()));
-      eng.init_processes(make_baswana_sen(SpannerConfig{k, legacy}));
-      results[legacy ? 1 : 0] = eng.run();
-      for (NodeId s = 0; s < g.n(); ++s) {
-        const auto* p = dynamic_cast<const BaswanaSenProcess*>(eng.process(s));
-        ports[legacy ? 1 : 0].push_back(p->spanner_ports());
-      }
+  for (const Want& want : kWant) {
+    EngineConfig cfg;
+    cfg.seed = 21 + want.k;
+    SyncEngine eng(g, cfg);
+    Rng id_rng(5);
+    eng.set_uids(assign_ids(g.n(), IdScheme::RandomFromZ, id_rng));
+    eng.set_knowledge(Knowledge::of_n(g.n()));
+    eng.init_processes(make_baswana_sen(SpannerConfig{want.k}));
+    const RunResult res = eng.run();
+    std::size_t ports = 0;
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    const auto fold = [&digest](std::uint64_t v) {
+      digest ^= v;
+      digest *= 0x100000001b3ULL;
+    };
+    for (NodeId s = 0; s < g.n(); ++s) {
+      const auto* p = dynamic_cast<const BaswanaSenProcess*>(eng.process(s));
+      fold(s);
+      for (const PortId port : p->spanner_ports()) fold(port);
+      ports += p->spanner_ports().size();
     }
-    EXPECT_EQ(results[0].rounds, results[1].rounds) << "k=" << k;
-    EXPECT_EQ(results[0].executed_rounds, results[1].executed_rounds) << "k=" << k;
-    EXPECT_EQ(results[0].node_steps, results[1].node_steps) << "k=" << k;
-    EXPECT_EQ(results[0].messages, results[1].messages) << "k=" << k;
-    EXPECT_EQ(results[0].bits, results[1].bits) << "k=" << k;
-    EXPECT_EQ(results[0].congest_violations, results[1].congest_violations)
-        << "k=" << k;
-    EXPECT_EQ(ports[0], ports[1]) << "k=" << k;
+    const std::string k = "k=" + std::to_string(want.k);
+    EXPECT_EQ(res.rounds, want.rounds) << k;
+    EXPECT_EQ(res.executed_rounds, want.executed_rounds) << k;
+    EXPECT_EQ(res.node_steps, want.node_steps) << k;
+    EXPECT_EQ(res.messages, want.messages) << k;
+    EXPECT_EQ(res.bits, want.bits) << k;
+    EXPECT_EQ(res.congest_violations, want.congest_violations) << k;
+    EXPECT_EQ(ports, want.ports) << k;
+    EXPECT_EQ(digest, want.ports_digest) << k;
   }
 }
 

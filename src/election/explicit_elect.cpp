@@ -1,5 +1,6 @@
 #include "election/explicit_elect.hpp"
 
+#include <algorithm>
 #include <vector>
 
 namespace ule {
@@ -11,8 +12,12 @@ namespace ule {
 class ExplicitProcess::PassThroughCtx final : public Context {
  public:
   PassThroughCtx(Context& real, ExplicitProcess::Wish& wish, Round& deadline,
-                 bool& elected)
-      : real_(real), wish_(wish), deadline_(deadline), elected_(elected) {}
+                 bool& elected, std::vector<bool>& sent)
+      : real_(real),
+        wish_(wish),
+        deadline_(deadline),
+        elected_(elected),
+        sent_(sent) {}
 
   NodeId slot() const override { return real_.slot(); }
   std::size_t degree() const override { return real_.degree(); }
@@ -24,6 +29,7 @@ class ExplicitProcess::PassThroughCtx final : public Context {
   void send(PortId port, const FlatMsg& msg,
             const LinkHeader& link) override {
     real_.send(port, msg, link);
+    sent_[port] = true;
   }
   Status status() const override { return real_.status(); }
 
@@ -43,6 +49,7 @@ class ExplicitProcess::PassThroughCtx final : public Context {
   ExplicitProcess::Wish& wish_;
   Round& deadline_;
   bool& elected_;
+  std::vector<bool>& sent_;
 };
 
 void ExplicitProcess::announce(Context& ctx, std::uint64_t token,
@@ -59,8 +66,10 @@ void ExplicitProcess::run_inner(Context& ctx, std::span<const Envelope> inbox,
                                 bool wake) {
   // Split the inbox: announcements are the wrapper's, the rest is the inner
   // algorithm's.
-  std::vector<Envelope> inner_inbox;
-  inner_inbox.reserve(inbox.size());
+  inner_inbox_.clear();
+  if (inner_sent_.size() != ctx.degree()) {
+    inner_sent_.assign(ctx.degree(), false);
+  }
   PortId first_announce_port = kNoPort;
   std::uint64_t announce_token = 0;
   for (const auto& env : inbox) {
@@ -70,7 +79,7 @@ void ExplicitProcess::run_inner(Context& ctx, std::span<const Envelope> inbox,
         announce_token = env.flat.a;
       }
     } else {
-      inner_inbox.push_back(env);
+      inner_inbox_.push_back(env);
     }
   }
   if (first_announce_port != kNoPort && !announced_) {
@@ -80,16 +89,17 @@ void ExplicitProcess::run_inner(Context& ctx, std::span<const Envelope> inbox,
   // Deliver the round to the inner algorithm only when the engine itself
   // would have: it never slept, it has messages, or its deadline fired.
   const bool due =
-      wake || inner_wish_ == Wish::Running || !inner_inbox.empty() ||
+      wake || inner_wish_ == Wish::Running || !inner_inbox_.empty() ||
       (inner_wish_ == Wish::Sleep && ctx.round() >= inner_deadline_);
   if (due && inner_wish_ != Wish::Halt) {
     inner_wish_ = Wish::Running;
     bool elected_now = false;
-    PassThroughCtx pc(ctx, inner_wish_, inner_deadline_, elected_now);
+    PassThroughCtx pc(ctx, inner_wish_, inner_deadline_, elected_now,
+                      inner_sent_);
     if (wake) {
-      inner_->on_wake(pc, inner_inbox);
+      inner_->on_wake(pc, inner_inbox_);
     } else {
-      inner_->on_round(pc, inner_inbox);
+      inner_->on_round(pc, inner_inbox_);
     }
     if (elected_now) inner_elected_ = true;
   }
@@ -100,11 +110,17 @@ void ExplicitProcess::run_inner(Context& ctx, std::span<const Envelope> inbox,
     announce(ctx, token, kNoPort);
   }
 
+  // Send one queued announcement per port, but not on a port the inner
+  // algorithm already used this round: that head waits a round, so the
+  // overlay never breaks the one-message-per-edge-direction allowance.
+  const bool backlog =
+      outbox_.flush(ctx, [this](PortId p) { return inner_sent_[p]; });
+  std::fill(inner_sent_.begin(), inner_sent_.end(), false);
+
   // Arbitrate scheduling: announcement backlog keeps us runnable; otherwise
   // follow the inner algorithm, except that a halt is deferred until the
   // announcement has passed through this node (a halted node would break
   // the flood).
-  const bool backlog = outbox_.flush(ctx);
   if (backlog) return;  // stay runnable
   switch (inner_wish_) {
     case Wish::Running:

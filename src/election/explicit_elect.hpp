@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "election/channels.hpp"
 #include "election/election.hpp"
@@ -85,6 +86,10 @@ class ExplicitProcess final : public Process {
 
   std::unique_ptr<Process> inner_;
   PortOutbox outbox_;
+  /// Reused every step: the inner algorithm's non-announcement inbox, and
+  /// the ports it sent on this round (per port; cleared after the flush).
+  std::vector<Envelope> inner_inbox_;
+  std::vector<bool> inner_sent_;
   std::optional<std::uint64_t> known_leader_;
   bool announced_ = false;        ///< we already forwarded/originated
   bool inner_elected_ = false;

@@ -64,6 +64,8 @@ void SublinearCompleteProcess::on_wake(Context& ctx,
       cfg_.rank_space != 0 ? cfg_.rank_space : id_space_size(n);
   rank_ = ctx.rng().in_range(1, space);
   tiebreak_ = ctx.rng()();
+  best_rank_ = rank_;
+  best_tb_ = tiebreak_;
 
   const auto want = static_cast<std::size_t>(
       std::ceil(cfg_.referee_factor * std::sqrt(dn * ln_n)));
@@ -75,6 +77,8 @@ void SublinearCompleteProcess::on_wake(Context& ctx,
     ctx.idle();
     return;
   }
+
+  verdict_from_.assign(ctx.degree(), false);
 
   // r distinct random ports via a partial Fisher–Yates shuffle.
   std::vector<PortId> ports(ctx.degree());
@@ -90,35 +94,43 @@ void SublinearCompleteProcess::on_wake(Context& ctx,
 
 void SublinearCompleteProcess::on_round(Context& ctx,
                                         std::span<const Envelope> inbox) {
-  // Referee duty: answer this round's queries with the maximum (rank,
-  // tiebreak) among them — every query arrives in the same round under
-  // simultaneous wakeup, so one pass suffices.  A candidate referee has
-  // also "seen" its own pair and must include it: with only mutual referees
+  // Referee duty: the first round that brings queries fixes this referee's
+  // endorsement, the maximum (rank, tiebreak) among them; every later query
+  // gets that same pair.  Under simultaneous wakeup and timely delivery all
+  // queries arrive in one round, so this is the plain "maximum seen".  Under
+  // delay a stronger query may arrive after the referee has answered: it
+  // must not earn a second endorsement, or two candidates could each collect
+  // a full set of verdicts naming themselves.  A candidate referee has also
+  // "seen" its own pair and must include it: with only mutual referees
   // (n = 2, or tiny referee sets) the weaker candidate would otherwise hear
   // nothing but its own query echoed back and both would elect.
-  std::uint64_t best_rank = candidate_ ? rank_ : 0;
-  std::uint64_t best_tb = candidate_ ? tiebreak_ : 0;
   std::vector<PortId> query_ports;
   for (const auto& env : inbox) {
     if (!is_sublinear(env) || (env.flat.flags & kVerdictFlag)) continue;
     ++queries_seen_;
     query_ports.push_back(env.port);
-    if (std::pair(env.flat.a, env.flat.b) > std::pair(best_rank, best_tb)) {
-      best_rank = env.flat.a;
-      best_tb = env.flat.b;
+    if (endorsed_) continue;
+    if (std::pair(env.flat.a, env.flat.b) > std::pair(best_rank_, best_tb_)) {
+      best_rank_ = env.flat.a;
+      best_tb_ = env.flat.b;
     }
   }
   if (!query_ports.empty()) {
-    const FlatMsg v = sublinear_msg(true, best_rank, best_tb);
+    endorsed_ = true;
+    const FlatMsg v = sublinear_msg(true, best_rank_, best_tb_);
     for (const PortId p : query_ports) ctx.send(p, v);
   }
 
-  // Candidate duty: tally verdicts.
+  // Candidate duty: tally verdicts, one per referee port (a duplicated
+  // verdict must not stand in for a referee that has not answered yet).  A
+  // verdict naming any other pair means a referee endorsed someone else.
   if (candidate_ && !decided_) {
     for (const auto& env : inbox) {
       if (!is_sublinear(env) || !(env.flat.flags & kVerdictFlag)) continue;
+      if (verdict_from_[env.port]) continue;
+      verdict_from_[env.port] = true;
       ++verdicts_seen_;
-      if (std::pair(env.flat.a, env.flat.b) > std::pair(rank_, tiebreak_))
+      if (std::pair(env.flat.a, env.flat.b) != std::pair(rank_, tiebreak_))
         lost_ = true;
     }
     if (verdicts_seen_ >= expected_verdicts_) {

@@ -15,7 +15,9 @@
 //            a candidate draws a random rank and sends QUERY(rank) to
 //            referee_factor * sqrt(n ln n) distinct random ports;
 //   round 1  every queried node (referee) replies VERDICT(max rank seen)
-//            to each querier;
+//            to each querier; a referee endorses exactly one pair, fixed by
+//            the first round that brings it queries, and repeats it to any
+//            later (delayed or duplicated) query;
 //   round 2  a candidate elects itself iff every verdict equals its own
 //            rank; everyone else is non-elected.
 //
@@ -26,6 +28,15 @@
 // n^{-Θ(1)} with the n^4 domain + random tiebreak.  Messages:
 // Θ(log n) * r queries + as many verdicts = O(sqrt(n) log^{3/2} n) —
 // *sublinear in n*, let alone m = n(n-1)/2.  Time: 3 rounds.
+//
+// Faults: two candidates that share a referee cannot both elect, because
+// that referee names one pair to both — whatever the delivery schedule.
+// Verdicts are tallied per referee port, so a duplicate cannot stand in for
+// a referee still to answer.  Delay, drop, duplication and crashes can
+// therefore only leave no leader (a liveness miss, allowed by the Monte
+// Carlo contract), never two among candidates with intersecting referee
+// sets; at n <= 14 (default factors) every candidate queries every node,
+// so there is no other kind.
 //
 // Requires: a complete topology (checked: degree = n-1), knowledge of n,
 // simultaneous wakeup.  Works anonymously (ranks and tiebreaks are private
@@ -69,7 +80,13 @@ class SublinearCompleteProcess final : public Process {
   std::uint64_t rank_ = 0;
   std::uint64_t tiebreak_ = 0;
   std::size_t expected_verdicts_ = 0;
-  std::size_t verdicts_seen_ = 0;
+  std::size_t verdicts_seen_ = 0;   ///< distinct referee ports that answered
+  std::vector<bool> verdict_from_;  ///< per port: its verdict was counted
+  /// Referee state: the pair this node endorses, fixed by the first round
+  /// that brings queries (a candidate starts from its own pair).
+  bool endorsed_ = false;
+  std::uint64_t best_rank_ = 0;
+  std::uint64_t best_tb_ = 0;
   std::size_t queries_seen_ = 0;
   bool lost_ = false;
 };

@@ -115,9 +115,17 @@ class PortOutbox {
   /// port, the CONGEST allowance).  Returns true iff messages remain queued,
   /// in which case the caller must stay runnable for the next round.
   bool flush(Context& ctx) {
+    return flush(ctx, [](PortId) { return false; });
+  }
+
+  /// flush(), except that a port for which `busy(p)` holds keeps its head
+  /// queued for a later round: the caller already spent that port's
+  /// allowance this round on a send that bypassed the outbox.
+  template <class Busy>
+  bool flush(Context& ctx, Busy&& busy) {
     for (PortId p = 0; p < heads_.size(); ++p) {
       const std::uint32_t slot = heads_[p].head;
-      if (slot == kNil) continue;
+      if (slot == kNil || busy(p)) continue;
       Queued& head = pool_[slot];
       ctx.send(p, head.flat);
       heads_[p].head = head.next;

@@ -186,8 +186,12 @@ ProtocolRegistry build_protocols() {
   //     additionally loses LIVENESS under asynchrony (its fixed radius
   //     relaunches forever on delayed stragglers), the repo's one
   //     live_under_async = false entry;
-  //   - sublinear_complete is the robust outlier (kAll): a referee decides
-  //     exactly once, so forged or lost traffic only costs liveness;
+  //   - sublinear_complete is the robust outlier (kAll): a referee endorses
+  //     exactly one pair, fixed by the first round that brings it queries,
+  //     and a candidate counts one verdict per referee port, so delayed,
+  //     duplicated or lost traffic only costs liveness (counting a
+  //     duplicated verdict as a second referee let delay plus duplication
+  //     elect two leaders at n <= 8);
   //   - the explicit overlay is strictly more fragile than its base
   //     election: a dropped or delayed LEADER flood re-elects.
 

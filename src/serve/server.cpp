@@ -4,6 +4,7 @@
 #include <errno.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -82,6 +83,14 @@ void drain_pipe(int fd) {
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
+// Frames are small request/response messages with no pipelining: under
+// Nagle's algorithm a reply sent while an earlier one is unacknowledged
+// waits for the client's delayed ACK (~40 ms), once per job.
+void set_nodelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 int listen_on(const std::string& bind_addr, std::uint16_t port) {
@@ -472,6 +481,7 @@ struct ElectionServer::Impl {
       const int fd = accept_retry(lfd);
       if (fd < 0) return;  // EAGAIN (or a transient error): done for now
       set_nonblocking(fd);
+      set_nodelay(fd);
       Session s;
       s.sid = next_sid++;
       s.fd = fd;

@@ -4,6 +4,7 @@
 
 #include <optional>
 #include <set>
+#include <string>
 
 #include "election/flood_max.hpp"
 #include "election/kingdom.hpp"
@@ -12,6 +13,9 @@
 #include "graphgen/generators.hpp"
 #include "graphgen/graph_algos.hpp"
 #include "net/engine.hpp"
+#include "scenario/registry.hpp"
+#include "scenario/runner.hpp"
+#include "scenario/scenario.hpp"
 
 namespace ule {
 namespace {
@@ -180,6 +184,29 @@ TEST(ExplicitElect, CongestClean) {
   const auto out = run_explicit(g, make_flood_max(), opt);
   ASSERT_TRUE(out.rep.verdict.unique_leader);
   EXPECT_EQ(out.rep.run.congest_violations, 0u);
+}
+
+// Under random wakeup the inner election can send on a port in the same
+// round the overlay's pacing queue releases an announcement on it.  These
+// fault-free draws each reported one CONGEST violation until the overlay
+// learned to hold such an announcement back by a round.
+TEST(ExplicitElect, AnnouncementNeverSharesARoundWithAnInnerSend) {
+  const char* const tokens[] = {
+      "ule1:cliquecycle{n=10,D=4}:explicit_flood_max:k=none:w=rand.9:"
+      "s=12753896659366:t=1",
+      "ule1:grid{rows=9,cols=2}:explicit_flood_max:k=nd:w=rand.13:"
+      "s=89119337388232:t=1",
+      "ule1:grid{rows=7,cols=2}:explicit_flood_max_reliable:k=nd:w=rand.31:"
+      "s=59071300082879:t=1",
+      "ule1:grid{rows=10,cols=2}:explicit_flood_max_reliable:k=nmd:w=rand.34:"
+      "s=106626023110290:t=1",
+  };
+  for (const char* token : tokens) {
+    const ScenarioOutcome out = run_scenario(
+        default_protocols(), default_families(), Scenario::parse(token));
+    EXPECT_EQ(out.report.run.congest_violations, 0u) << token;
+    EXPECT_TRUE(out.ok()) << token << ": " << out.violations.front();
+  }
 }
 
 TEST(ExplicitElect, SingleNodeGraph) {

@@ -7,9 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <set>
+#include <string>
 
 #include "graphgen/generators.hpp"
 #include "net/engine.hpp"
+#include "scenario/registry.hpp"
+#include "scenario/runner.hpp"
+#include "scenario/scenario.hpp"
 
 namespace ule {
 namespace {
@@ -144,6 +150,106 @@ TEST(SublinearComplete, RefereeFactorAblation) {
   const double healthy = rate(2.0);
   EXPECT_GE(healthy, 0.95);
   EXPECT_LT(starved, healthy);
+}
+
+// A duplicated verdict must not count as a second referee's answer: while
+// it did, delay plus duplication let a candidate decide before a delayed,
+// stronger verdict arrived.  Each token below is a fuzzer draw that then
+// reported "safety: 2 leaders".
+TEST(SublinearComplete, DelayPlusDuplicationElectsAtMostOneLeader) {
+  const char* const tokens[] = {
+      "ule1:complete{n=6}:sublinear_complete:k=nd:w=sim:s=76983867041657:t=1:"
+      "a=3.0.299.0.3964491935",
+      "ule1:complete{n=3}:sublinear_complete:k=n:w=sim:s=6559766565053:t=1:"
+      "a=2.212.266.438.2248721684",
+      "ule1:complete{n=6}:sublinear_complete:k=nd:w=sim:s=148973165826869:t=1:"
+      "a=3.50.243.0.1123705621",
+      "ule1:complete{n=3}:sublinear_complete:k=nmd:w=sim:s=258479475376846:"
+      "t=1:a=3.0.180.0.1884819294",
+      "ule1:complete{n=4}:sublinear_complete:k=nmd:w=sim:s=16789210229020:t=1:"
+      "a=2.0.179.432.2975707840",
+      "ule1:complete{n=7}:sublinear_complete:k=nd:w=sim:s=135042736807147:t=1:"
+      "a=2.170.219.91.3998929913",
+      "ule1:complete{n=3}:sublinear_complete:k=n:w=sim:s=182665983306036:t=1:"
+      "a=3.0.76.256.1369079806",
+      "ule1:complete{n=4}:sublinear_complete:k=nd:w=sim:s=154761445915205:t=1:"
+      "a=3.0.106.275.3275661134:f=2@6",
+      "ule1:complete{n=3}:sublinear_complete:k=n:w=sim:s=201307557083179:t=1:"
+      "a=1.87.203.329.262761746:f=7@4",
+      "ule1:complete{n=5}:sublinear_complete:k=nmd:w=sim:s=168825192407244:"
+      "t=1:a=2.274.200.204.978868234:f=5@3",
+      "ule1:complete{n=3}:sublinear_complete:k=n:w=sim:s=203153581835661:t=1:"
+      "a=3.4.267.307.242412925",
+      "ule1:complete{n=5}:sublinear_complete:k=nd:w=sim:s=131190316437230:t=1:"
+      "a=3.0.128.0.2252904881",
+      "ule1:complete{n=3}:sublinear_complete:k=n:w=sim:s=247973287294521:t=1:"
+      "a=2.215.297.415.3214349444",
+  };
+  for (const char* token : tokens) {
+    const ScenarioOutcome out = run_scenario(
+        default_protocols(), default_families(), Scenario::parse(token));
+    EXPECT_LE(out.report.verdict.elected, 1u) << token;
+    EXPECT_TRUE(out.ok()) << token << ": " << out.violations.front();
+  }
+}
+
+// The same fault, swept: at n <= 8 every candidate queries every other node,
+// so with one verdict counted per referee and one pair named per referee,
+// delay and duplication can cost the leader but never add a second.
+TEST(SublinearComplete, SmallNSweepUnderDelayAndDupElectsAtMostOneLeader) {
+  for (std::size_t n = 2; n <= 8; ++n) {
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+      const std::string token =
+          "ule1:complete{n=" + std::to_string(n) +
+          "}:sublinear_complete:k=n:w=sim:s=" + std::to_string(seed) +
+          ":t=1:a=" + std::to_string(1 + seed % 3) + ".0.300.0." +
+          std::to_string(seed * 7919);
+      const ScenarioOutcome out = run_scenario(
+          default_protocols(), default_families(), Scenario::parse(token));
+      EXPECT_LE(out.report.verdict.elected, 1u) << token;
+    }
+  }
+}
+
+// Beyond n = 14 referee sets are partial, and safety rests on a shared
+// referee naming ONE pair to every querier.  Under delay a stronger query can
+// reach a referee after it has answered; it must get the pair already
+// endorsed.  Small referee sets and many candidates make such late queries
+// common; the trace shows every verdict each referee sent.
+TEST(SublinearComplete, ARefereeNamesOnePairHoweverLateTheQuery) {
+  const std::size_t n = 24;
+  const Graph g = make_complete(n);
+  SublinearConfig sc;
+  sc.candidate_factor = 4.0;  // ~12 candidates
+  sc.referee_factor = 0.5;    // 5 referees each
+  std::size_t late_rounds = 0;  // referees hearing queries in a later round
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    EngineConfig cfg;
+    cfg.seed = seed;
+    cfg.trace_limit = 100'000;
+    cfg.adversary.seed = seed;
+    cfg.adversary.max_delay = 3;
+    cfg.adversary.duplicate = 0.3;
+    SyncEngine eng(g, cfg);
+    eng.set_knowledge(Knowledge::of_n(n));
+    eng.init_processes(make_sublinear_complete(sc));
+    eng.run();
+    ASSERT_FALSE(eng.trace_truncated());
+    std::map<NodeId, std::set<std::string>> named;
+    std::map<NodeId, std::set<Round>> answered_in;
+    for (const TraceEvent& ev : eng.trace()) {
+      if (ev.kind != TraceEvent::Kind::Send ||
+          ev.detail.rfind("flat(ch9,t1,f1,", 0) != 0)
+        continue;
+      named[ev.node].insert(ev.detail);
+      answered_in[ev.node].insert(ev.round);
+    }
+    for (const auto& [node, pairs] : named) {
+      EXPECT_EQ(pairs.size(), 1u) << "seed " << seed << " referee " << node;
+      late_rounds += answered_in[node].size() - 1;
+    }
+  }
+  EXPECT_GT(late_rounds, 0u);  // the schedule did produce late queries
 }
 
 }  // namespace

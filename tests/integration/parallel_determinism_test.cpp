@@ -216,7 +216,9 @@ TEST(ParallelDeterminism, MatrixIdenticalAtEveryThreadCount) {
       opt.seed = seed;
       opt.threads = 1;
       const ElectionReport base = run_snapshot(cell.graph, cell.factory, opt);
-      if (cell.require_completed) ASSERT_TRUE(base.run.completed) << cell.name;
+      if (cell.require_completed) {
+        ASSERT_TRUE(base.run.completed) << cell.name;
+      }
       for (const unsigned t : kThreads) {
         opt.threads = t;
         opt.parallel_cutoff = 1;  // force even tiny rounds onto the pool

@@ -3,12 +3,14 @@
 // telemetry streaming, malformed-frame and malformed-token handling,
 // explicit backpressure, the SIGTERM drain (killed mid-job, the daemon
 // still delivers every accepted result), and the /health + /metrics HTTP
-// endpoints.
+// endpoints, and the per-job round-trip latency.
 
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -81,6 +83,33 @@ TEST(ElectionServerTest, AdversarialAndChurnTokensMatchToo) {
     ASSERT_TRUE(reply.ok) << token << ": " << reply.error;
     EXPECT_EQ(reply.counters, local_counters(token)) << token;
   }
+  server.request_shutdown();
+  server.wait();
+}
+
+// A tiny job executes in well under a millisecond; what a client waits for
+// beyond that is the socket.  With Nagle's algorithm on either end, every
+// job paid one ~40 ms delayed-ACK timeout, so the median sat near 44 ms.
+TEST(ElectionServerTest, SequentialJobsDoNotWaitOnDelayedAcks) {
+  ElectionServer server;
+  server.start();
+  ServeClient client;
+  client.connect("127.0.0.1", server.port());
+
+  std::vector<double> ms;
+  for (int i = 0; i < 50; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto sub = client.submit_token(kToken);
+    ASSERT_TRUE(sub.accepted);
+    const auto reply = client.await_result(sub.job_id);
+    ASSERT_TRUE(reply.ok) << reply.error;
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+  }
+  std::nth_element(ms.begin(), ms.begin() + ms.size() / 2, ms.end());
+  EXPECT_LT(ms[ms.size() / 2], 20.0) << "median submit -> JobResult, ms";
+
   server.request_shutdown();
   server.wait();
 }
